@@ -205,7 +205,7 @@ pub fn serve_degradation(cfg: &ExpConfig) -> Panel {
 
     // Warmup curves: cold first (empty caches), then snapshot what the
     // cold run warmed, clear, restore, and measure again.
-    tpq_core::clear_shared_caches();
+    tpq_core::clear_engine_cache();
     let cold = hit_rate_rounds(&lines);
     let snap = std::env::temp_dir()
         .join(format!("tpq-bench-degradation-{}", std::process::id()))
@@ -215,7 +215,7 @@ pub fn serve_degradation(cfg: &ExpConfig) -> Panel {
         let types = global_types().lock().expect("types lock");
         write_snapshot(&snap, &types).expect("write warm snapshot");
     }
-    tpq_core::clear_shared_caches();
+    tpq_core::clear_engine_cache();
     {
         let mut types = global_types().lock().expect("types lock");
         restore_snapshot(&snap, &mut types).expect("restore warm snapshot");

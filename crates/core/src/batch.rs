@@ -451,9 +451,14 @@ impl BatchMinimizer {
 /// the quadratic closure and the per-engine memo cache it preserves.
 const ENGINE_CACHE_CAPACITY: usize = 8;
 
+/// A cache entry's engine. The slot is inserted under the cache lock but
+/// filled after it is released, so a slow closure blocks only callers
+/// with the same key: they wait on the slot, everyone else proceeds.
+type EngineSlot = Arc<OnceLock<Arc<BatchMinimizer>>>;
+
 /// Cache entries: the original (unclosed) set and strategy, paired with
-/// the shared engine built from them.
-type EngineCache = Vec<((ConstraintSet, Strategy), Arc<BatchMinimizer>)>;
+/// the slot of the shared engine built from them.
+type EngineCache = Vec<((ConstraintSet, Strategy), EngineSlot)>;
 
 /// A process-wide [`BatchMinimizer`] for `(ics, strategy)`, built on first
 /// use and shared by every later caller with the same key (a small
@@ -464,6 +469,10 @@ type EngineCache = Vec<((ConstraintSet, Strategy), Arc<BatchMinimizer>)>;
 /// handlers call `shared_engine` instead of constructing engines, so a
 /// pattern minimized on one connection is a cache hit on all of them.
 /// The `engine.cache.hit` / `engine.recomputed` counters report reuse.
+///
+/// The closure of a new key is computed outside the cache lock: lookups
+/// for other keys are never blocked behind it, and concurrent first
+/// lookups of one key compute it once and share the result.
 ///
 /// **Interner discipline:** engines memoize by [`TreePattern::canonical_key`],
 /// which is built from [`TypeId`](tpq_base::TypeId)s. All queries handed to
@@ -492,20 +501,24 @@ type EngineCache = Vec<((ConstraintSet, Strategy), Arc<BatchMinimizer>)>;
 /// assert_eq!(first.pattern.size(), 2); // /Ingredient is implied by the IC
 /// ```
 pub fn shared_engine(ics: &ConstraintSet, strategy: Strategy) -> Arc<BatchMinimizer> {
-    let mut entries = engine_cache().lock().expect("engine cache poisoned");
-    if let Some(pos) = entries.iter().position(|((set, strat), _)| *strat == strategy && set == ics)
-    {
-        let hit = entries.remove(pos);
-        let engine = Arc::clone(&hit.1);
-        entries.insert(0, hit); // move to front (LRU)
-        tpq_obs::incr("engine.cache.hit", 1);
-        return engine;
-    }
-    let engine = Arc::new(BatchMinimizer::with_strategy(ics, strategy));
-    tpq_obs::incr("engine.recomputed", 1);
-    entries.insert(0, ((ics.clone(), strategy), Arc::clone(&engine)));
-    entries.truncate(ENGINE_CACHE_CAPACITY);
-    engine
+    let slot = {
+        let mut entries = engine_cache().lock().expect("engine cache poisoned");
+        let entry = match entries.iter().position(|((set, s), _)| *s == strategy && set == ics) {
+            Some(pos) => {
+                tpq_obs::incr("engine.cache.hit", 1);
+                entries.remove(pos)
+            }
+            None => {
+                tpq_obs::incr("engine.recomputed", 1);
+                ((ics.clone(), strategy), EngineSlot::default())
+            }
+        };
+        let slot = Arc::clone(&entry.1);
+        entries.insert(0, entry); // most recently used first
+        entries.truncate(ENGINE_CACHE_CAPACITY);
+        slot
+    };
+    Arc::clone(slot.get_or_init(|| Arc::new(BatchMinimizer::with_strategy(ics, strategy))))
 }
 
 /// The process-wide engine LRU behind [`shared_engine`].
@@ -516,12 +529,13 @@ fn engine_cache() -> &'static Mutex<EngineCache> {
 
 /// Snapshot the process-wide [`shared_engine`] LRU as
 /// `(original_set, strategy, engine)` triples in LRU order (most recently
-/// used first). The serialization half of warm-restart snapshots.
+/// used first). Engines still being built are skipped. The serialization
+/// half of warm-restart snapshots.
 pub fn export_engines() -> Vec<(ConstraintSet, Strategy, Arc<BatchMinimizer>)> {
     let entries = engine_cache().lock().expect("engine cache poisoned");
     entries
         .iter()
-        .map(|((ics, strategy), engine)| (ics.clone(), *strategy, Arc::clone(engine)))
+        .filter_map(|((ics, strategy), slot)| Some((ics.clone(), *strategy, slot.get()?.clone())))
         .collect()
 }
 
@@ -533,7 +547,7 @@ pub fn export_engines() -> Vec<(ConstraintSet, Strategy, Arc<BatchMinimizer>)> {
 pub fn seed_engine(ics: ConstraintSet, strategy: Strategy, engine: Arc<BatchMinimizer>) {
     let mut entries = engine_cache().lock().expect("engine cache poisoned");
     entries.retain(|((set, strat), _)| !(*strat == strategy && *set == ics));
-    entries.insert(0, ((ics, strategy), engine));
+    entries.insert(0, ((ics, strategy), Arc::new(OnceLock::from(engine))));
     entries.truncate(ENGINE_CACHE_CAPACITY);
 }
 
@@ -541,16 +555,6 @@ pub fn seed_engine(ics: ConstraintSet, strategy: Strategy, engine: Arc<BatchMini
 /// engines; only the cache forgets them).
 pub fn clear_engine_cache() {
     engine_cache().lock().expect("engine cache poisoned").clear();
-}
-
-/// Empty **both** process-wide caches — the [`shared_engine`] LRU and the
-/// closure LRU of [`crate::pipeline`]. This is what a true cold start
-/// looks like; the warm-restart benchmarks and tests call it between
-/// server lifetimes so that in-process "restarts" measure the snapshot,
-/// not leftover process state.
-pub fn clear_shared_caches() {
-    clear_engine_cache();
-    crate::pipeline::clear_closure_cache();
 }
 
 #[cfg(test)]
@@ -799,6 +803,69 @@ mod tests {
             .unwrap();
         assert!(again.cache_hit, "memo survives via the engine cache");
         assert_eq!(again.pattern, first.pattern);
+    }
+
+    /// An `n`-edge `->>` chain over fresh names; its closure has
+    /// n(n+1)/2 constraints.
+    fn descendant_chain(prefix: &str, n: usize, tys: &mut TypeInterner) -> ConstraintSet {
+        let text: String = (0..n).map(|i| format!("{prefix}{i} ->> {prefix}{}\n", i + 1)).collect();
+        parse_constraints(&text, tys).unwrap()
+    }
+
+    #[test]
+    fn a_closure_in_flight_does_not_block_other_keys() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let mut tys = TypeInterner::new();
+        let slow_ics = descendant_chain("Rung", 800, &mut tys);
+        let tiny = parse_constraints("Kiwi -> Seed", &mut tys).unwrap();
+        let slow_done = Arc::new(AtomicBool::new(false));
+        let slow = {
+            let (ics, done) = (slow_ics.clone(), Arc::clone(&slow_done));
+            std::thread::spawn(move || {
+                let engine = shared_engine(&ics, Strategy::CdmOnly);
+                done.store(true, Ordering::SeqCst);
+                engine
+            })
+        };
+        // Wait until the slow key's slot is cached but still empty: its
+        // closure is being computed, and the cache lock has been released.
+        loop {
+            let in_flight = engine_cache()
+                .lock()
+                .unwrap()
+                .iter()
+                .any(|((set, _), slot)| *set == slow_ics && slot.get().is_none());
+            if in_flight {
+                break;
+            }
+            assert!(!slow_done.load(Ordering::SeqCst), "never saw the slow closure in flight");
+            std::thread::yield_now();
+        }
+        let fast = shared_engine(&tiny, Strategy::CdmOnly);
+        assert!(
+            !slow_done.load(Ordering::SeqCst),
+            "a lookup for another key waited for the 800-edge closure"
+        );
+        assert_eq!(fast.constraints(), &tiny.closure());
+        assert_eq!(slow.join().unwrap().constraints().len(), 800 * 801 / 2);
+    }
+
+    #[test]
+    fn racing_first_lookups_of_one_key_share_one_engine() {
+        let mut tys = TypeInterner::new();
+        let ics = descendant_chain("Spoke", 150, &mut tys);
+        let barrier = Arc::new(std::sync::Barrier::new(4));
+        let racers: Vec<_> = (0..4)
+            .map(|_| {
+                let (ics, barrier) = (ics.clone(), Arc::clone(&barrier));
+                std::thread::spawn(move || {
+                    barrier.wait();
+                    shared_engine(&ics, Strategy::AcimOnly)
+                })
+            })
+            .collect();
+        let engines: Vec<_> = racers.into_iter().map(|r| r.join().unwrap()).collect();
+        assert!(engines.iter().all(|e| Arc::ptr_eq(e, &engines[0])), "one engine per key");
     }
 
     #[test]

@@ -69,8 +69,8 @@ pub mod stats;
 
 pub use acim::{acim, acim_closed, acim_closed_guarded, acim_with_stats};
 pub use batch::{
-    clear_engine_cache, clear_shared_caches, export_engines, seed_engine, shared_engine,
-    BatchMinimizer, BatchOutcome, BatchStats, CachedOutcome, GuardedBatchOutcome,
+    clear_engine_cache, export_engines, seed_engine, shared_engine, BatchMinimizer, BatchOutcome,
+    BatchStats, CachedOutcome, GuardedBatchOutcome,
 };
 pub use cdm::{cdm, cdm_closed, cdm_in_place, cdm_in_place_guarded, cdm_with_stats};
 pub use chase::{augment, augment_guarded, chase};
@@ -88,10 +88,7 @@ pub use incremental::{
 };
 pub use local::locally_redundant_leaves;
 pub use mapping::{has_homomorphism, has_homomorphism_guarded, has_homomorphism_naive};
-pub use pipeline::{
-    clear_closure_cache, export_closures, import_closure, minimize, minimize_with,
-    minimize_with_guarded, MinimizeOutcome, Strategy,
-};
+pub use pipeline::{minimize, minimize_with, minimize_with_guarded, MinimizeOutcome, Strategy};
 pub use redundant::{redundant_leaf, redundant_leaf_guarded};
 pub use session::{is_minimal, minimize_closed, minimize_closed_guarded, Minimizer};
 pub use stats::MinimizeStats;

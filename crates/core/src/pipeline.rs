@@ -1,8 +1,8 @@
 //! The end-to-end minimization pipeline (Theorem 5.3): CDM as a fast
 //! pre-filter, then ACIM for global minimality.
 
+use crate::batch::shared_engine;
 use crate::stats::MinimizeStats;
-use std::sync::{Arc, Mutex, OnceLock};
 use tpq_base::{Guard, Result};
 use tpq_constraints::ConstraintSet;
 use tpq_pattern::TreePattern;
@@ -73,88 +73,35 @@ pub fn minimize(q: &TreePattern, ics: &ConstraintSet) -> MinimizeOutcome {
 ///
 /// One-shot convenience over [`crate::session::Minimizer`]. Repeated calls
 /// against the same constraint set do **not** recompute the quadratic
-/// closure: a small process-wide cache maps recently seen sets to their
-/// closures (the `closure.cache.hit` / `closure.recomputed` counters
-/// report its behavior). For heavy many-query workloads, prefer a
-/// [`crate::session::Minimizer`] or [`crate::batch::BatchMinimizer`],
-/// which also skip the set-equality probe.
+/// closure: it is taken from the process-wide [`crate::shared_engine`]
+/// LRU (the `engine.cache.hit` / `engine.recomputed` counters report its
+/// behavior). The engine's memo is not used, so every call runs the full
+/// pipeline and reports its own [`MinimizeStats`]. For heavy many-query
+/// workloads, prefer a [`crate::session::Minimizer`] or
+/// [`crate::batch::BatchMinimizer`], which hold their closure directly.
 pub fn minimize_with(q: &TreePattern, ics: &ConstraintSet, strategy: Strategy) -> MinimizeOutcome {
-    crate::session::minimize_closed(q, &cached_closure(ics), strategy)
+    crate::session::minimize_closed(q, shared_engine(ics, strategy).constraints(), strategy)
 }
 
 /// [`minimize_with`] under a [`Guard`]: same closure caching, but the
 /// run is subject to the guard's deadline / step budget / cancellation
-/// and returns [`Err`] (with the input untouched) when it trips.
+/// and returns [`Err`] (with the input untouched) when it trips. The
+/// closure itself, when not yet cached, runs outside the guard.
 pub fn minimize_with_guarded(
     q: &TreePattern,
     ics: &ConstraintSet,
     strategy: Strategy,
     guard: &Guard,
 ) -> Result<MinimizeOutcome> {
-    crate::session::minimize_closed_guarded(q, &cached_closure(ics), strategy, guard)
-}
-
-/// Entries kept in the process-wide closure cache. Sets are compared by
-/// value, so the probe is `O(|ics|)` — noise against the `O(T²)` fixpoint
-/// it avoids — and collisions are impossible.
-const CLOSURE_CACHE_CAPACITY: usize = 8;
-
-/// Cache entries: the original set paired with its shared closure.
-type ClosureCache = Vec<(ConstraintSet, Arc<ConstraintSet>)>;
-
-/// The process-wide closure cache behind [`cached_closure`].
-fn closure_cache() -> &'static Mutex<ClosureCache> {
-    static CACHE: OnceLock<Mutex<ClosureCache>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-/// Snapshot the process-wide closure cache as `(original, closed)` pairs
-/// in LRU order (most recently used first). Serialization half of the
-/// serve layer's warm-restart snapshots.
-pub fn export_closures() -> Vec<(ConstraintSet, ConstraintSet)> {
-    let entries = closure_cache().lock().expect("closure cache poisoned");
-    entries.iter().map(|(original, closed)| (original.clone(), (**closed).clone())).collect()
-}
-
-/// Seed the process-wide closure cache with a previously exported
-/// `(original, closed)` pair. `closed` **must** be the closure of
-/// `original` (snapshots are checksummed, so a faithful restore
-/// guarantees this); a wrong pairing would serve wrong closures.
-/// Inserted at the LRU front; the capacity bound still applies.
-pub fn import_closure(original: ConstraintSet, closed: ConstraintSet) {
-    let mut entries = closure_cache().lock().expect("closure cache poisoned");
-    entries.retain(|(o, _)| *o != original);
-    entries.insert(0, (original, Arc::new(closed)));
-    entries.truncate(CLOSURE_CACHE_CAPACITY);
-}
-
-/// Empty the process-wide closure cache (test isolation and the cold-start
-/// halves of warm-restart benchmarks).
-pub fn clear_closure_cache() {
-    closure_cache().lock().expect("closure cache poisoned").clear();
-}
-
-/// The closure of `ics`, from the cache when this set was seen recently.
-fn cached_closure(ics: &ConstraintSet) -> Arc<ConstraintSet> {
-    let mut entries = closure_cache().lock().expect("closure cache poisoned");
-    if let Some(pos) = entries.iter().position(|(original, _)| original == ics) {
-        let hit = entries.remove(pos);
-        let closed = Arc::clone(&hit.1);
-        entries.insert(0, hit); // move to front (LRU)
-        tpq_obs::incr("closure.cache.hit", 1);
-        return closed;
-    }
-    let closed = Arc::new(ics.closure());
-    tpq_obs::incr("closure.recomputed", 1);
-    entries.insert(0, (ics.clone(), Arc::clone(&closed)));
-    entries.truncate(CLOSURE_CACHE_CAPACITY);
-    closed
+    let engine = shared_engine(ics, strategy);
+    crate::session::minimize_closed_guarded(q, engine.constraints(), strategy, guard)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::containment::equivalent_under;
+    use std::sync::Arc;
     use tpq_base::TypeInterner;
     use tpq_constraints::parse_constraints;
     use tpq_pattern::{isomorphic, parse_pattern};
@@ -233,24 +180,23 @@ mod tests {
     }
 
     #[test]
-    fn repeated_one_shot_calls_reuse_the_closure() {
-        // Counters only move while the obs layer is enabled. reset()
-        // isolates this assertion from whatever ran before it in the
-        // binary; other tests may still add hits concurrently, so the
-        // assertion is a floor, not an equality.
-        tpq_obs::set_enabled(true);
-        tpq_obs::reset();
+    fn repeated_one_shot_calls_reuse_one_shared_engine() {
+        // The engine cache keys sets by type id, so other tests may share
+        // this entry; none of them fills its memo.
         let (q, ics, _) =
-            setup("Book*[/Title][/Publisher][//LastName]", "Book -> Publisher\nBook ->> LastName");
-        let hits_before = tpq_obs::report().counter("closure.cache.hit");
-        let a = minimize(&q, &ics).pattern;
-        let b = minimize(&q, &ics).pattern;
-        let c = minimize(&q, &ics).pattern;
-        let hits_after = tpq_obs::report().counter("closure.cache.hit");
+            setup("Quire*[/Folio][/Binding][//Gathering]", "Quire -> Binding\nQuire ->> Gathering");
+        let a = minimize(&q, &ics);
+        let engine = shared_engine(&ics, Strategy::default());
+        let b = minimize(&q, &ics);
+        let c = minimize(&q, &ics);
         assert!(
-            hits_after >= hits_before + 2,
-            "second and third calls must hit the closure cache ({hits_before} -> {hits_after})"
+            Arc::ptr_eq(&engine, &shared_engine(&ics, Strategy::default())),
+            "repeated one-shot calls keep using one cached engine (and its closure)"
         );
-        assert!(isomorphic(&a, &b) && isomorphic(&b, &c));
+        assert!(isomorphic(&a.pattern, &b.pattern) && isomorphic(&b.pattern, &c.pattern));
+        // The engine's memo is bypassed: a repeat still runs the pipeline.
+        assert!(c.stats.redundancy_tests > 0, "a repeat reports its own work");
+        assert_eq!(c.stats.redundancy_tests, a.stats.redundancy_tests);
+        assert_eq!(engine.cache_len(), 0, "one-shot calls never fill the memo");
     }
 }

@@ -53,7 +53,7 @@ impl Minimizer {
     }
 
     /// Build from a constraint set that is **already closed** (e.g. one
-    /// taken from another session or the pipeline's closure cache). The
+    /// taken from another session or a [`crate::shared_engine`]). The
     /// quadratic closure computation is skipped; passing a non-closed set
     /// silently under-minimizes, so only hand this sets produced by
     /// [`ConstraintSet::closure`].

@@ -22,7 +22,7 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 use tpq_base::failpoint::{self, Action};
 use tpq_base::{Json, TypeInterner};
-use tpq_core::{clear_shared_caches, minimize_with, Strategy};
+use tpq_core::{clear_engine_cache, minimize_with, Strategy};
 use tpq_pattern::{parse_pattern, print::to_dsl};
 use tpq_serve::{Client, RetryPolicy, ServeConfig, ServeHandle, ServeSummary, Server};
 
@@ -103,7 +103,7 @@ fn error_kind_of(response: &str) -> Option<String> {
 #[test]
 fn saturated_queue_sheds_typed_errors_and_never_wrong_answers() {
     let _guard = lock();
-    clear_shared_caches();
+    clear_engine_cache();
     let (addr, handle, thread) =
         start(ServeConfig { jobs: 1, queue_depth: 2, ..ServeConfig::default() });
 
@@ -208,7 +208,7 @@ fn saturated_queue_sheds_typed_errors_and_never_wrong_answers() {
     handle.shutdown();
     let summary = thread.join().unwrap();
     assert!(summary.requests_shed >= sheds as u64);
-    clear_shared_caches();
+    clear_engine_cache();
 }
 
 /// The armed `serve.shed` failpoint forces one `injected` refusal; a
@@ -217,7 +217,7 @@ fn saturated_queue_sheds_typed_errors_and_never_wrong_answers() {
 #[test]
 fn injected_shed_is_typed_and_retried() {
     let _guard = lock();
-    clear_shared_caches();
+    clear_engine_cache();
     let (addr, handle, thread) = start(ServeConfig { jobs: 1, ..ServeConfig::default() });
     let fp = failpoint::arm("serve.shed", Action::Err, 1);
     let req = Json::object(vec![("query", Json::Str("ChaosInjA*[/ChaosInjB][/ChaosInjB]".into()))]);
@@ -235,7 +235,7 @@ fn injected_shed_is_typed_and_retried() {
     assert_eq!(stats.get("shed").and_then(|s| s.get("injected")).and_then(Json::as_i64), Some(1));
     handle.shutdown();
     thread.join().unwrap();
-    clear_shared_caches();
+    clear_engine_cache();
 }
 
 /// Satellite (a), the drain contract: requests already buffered behind a
@@ -244,7 +244,7 @@ fn injected_shed_is_typed_and_retried() {
 #[test]
 fn drain_answers_every_buffered_request_with_a_typed_error() {
     let _guard = lock();
-    clear_shared_caches();
+    clear_engine_cache();
     let (addr, _handle, thread) = start(ServeConfig { jobs: 1, ..ServeConfig::default() });
 
     let q = "ChaosDrainA*[/ChaosDrainB][/ChaosDrainB]";
@@ -281,7 +281,7 @@ fn drain_answers_every_buffered_request_with_a_typed_error() {
     let summary = thread.join().unwrap();
     assert_eq!(summary.requests_ok, 1);
     assert!(summary.requests_shed >= 2, "both buffered requests counted as drain sheds");
-    clear_shared_caches();
+    clear_engine_cache();
 }
 
 /// The full chaos cycle: kill a snapshotting server mid-traffic, restart
@@ -292,7 +292,7 @@ fn drain_answers_every_buffered_request_with_a_typed_error() {
 #[test]
 fn kill_and_restore_mid_traffic_keeps_clients_whole_and_the_cache_warm() {
     let _guard = lock();
-    clear_shared_caches();
+    clear_engine_cache();
     let snap = std::env::temp_dir()
         .join(format!("tpq-chaos-tests-{}", std::process::id()))
         .join("kill-restore.json");
@@ -355,7 +355,7 @@ fn kill_and_restore_mid_traffic_keeps_clients_whole_and_the_cache_warm() {
 
     // Simulate the process restart: cold caches, then a server restored
     // from the snapshot, bound to the SAME port the clients are retrying.
-    clear_shared_caches();
+    clear_engine_cache();
     let server = {
         let deadline = Instant::now() + Duration::from_secs(10);
         loop {
@@ -404,5 +404,5 @@ fn kill_and_restore_mid_traffic_keeps_clients_whole_and_the_cache_warm() {
     handle.shutdown();
     thread.join().unwrap();
     let _ = std::fs::remove_file(&snap);
-    clear_shared_caches();
+    clear_engine_cache();
 }

@@ -1,5 +1,5 @@
-//! Robustness tests for warm-restart snapshots: round-trip of all three
-//! cache layers, rejection of damaged files, and atomicity of the write.
+//! Robustness tests for warm-restart snapshots: round-trip of both cache
+//! layers, rejection of damaged files, and atomicity of the write.
 //!
 //! The caches and the serve-layer interner are process-wide, so every
 //! test here serializes on one mutex, uses type names unique to itself,
@@ -11,8 +11,9 @@
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use tpq_base::failpoint::{self, Action};
-use tpq_core::{clear_shared_caches, shared_engine, Strategy};
+use tpq_core::{clear_engine_cache, shared_engine, Strategy};
 use tpq_pattern::parse_pattern;
+use tpq_serve::snapshot::SCHEMA_VERSION;
 use tpq_serve::{global_types, restore_snapshot, write_snapshot, ServeConfig, Server};
 
 fn lock() -> MutexGuard<'static, ()> {
@@ -33,8 +34,8 @@ fn warm(query: &str, constraints: &str) -> (tpq_constraints::ConstraintSet, Stri
     let ics = tpq_constraints::parse_constraints(constraints, &mut types).expect("constraints");
     let q = parse_pattern(query, &mut types).expect("query");
     drop(types);
-    // The one-shot path populates the closure LRU; the engine path
-    // populates the shared-engine LRU and its canonical-pattern memo.
+    // Both paths resolve the same shared engine; only the engine path
+    // fills its canonical-pattern memo.
     let one_shot = tpq_core::minimize(&q, &ics).pattern;
     let engine = shared_engine(&ics, Strategy::default());
     let cached = engine.minimize(&q);
@@ -47,9 +48,9 @@ fn warm(query: &str, constraints: &str) -> (tpq_constraints::ConstraintSet, Stri
 }
 
 #[test]
-fn round_trip_restores_all_three_cache_layers() {
+fn round_trip_restores_both_cache_layers() {
     let _guard = lock();
-    clear_shared_caches();
+    clear_engine_cache();
     let (ics, minimized) =
         warm("SnapRtA*[/SnapRtB][/SnapRtC][//SnapRtD]", "SnapRtA -> SnapRtC\nSnapRtA ->> SnapRtD");
 
@@ -58,25 +59,30 @@ fn round_trip_restores_all_three_cache_layers() {
         let types = global_types().lock().unwrap();
         write_snapshot(&path, &types).expect("write")
     };
-    assert_eq!(stats.engines, 1);
-    assert_eq!(stats.patterns, 1);
-    assert_eq!(stats.closures, 1, "the one-shot call populated the closure LRU");
+    assert_eq!(stats.engines, 1, "the one-shot call reused the engine");
+    assert_eq!(stats.patterns, 1, "the one-shot call left the memo alone");
     assert!(stats.bytes > 0 && stats.created_unix_ms > 0);
 
-    // Cold half of the restart: every cache layer emptied.
-    clear_shared_caches();
+    // Cold half of the restart: both cache layers emptied.
+    clear_engine_cache();
     assert!(tpq_core::export_engines().is_empty());
-    assert!(tpq_core::export_closures().is_empty());
 
     let restored = {
         let mut types = global_types().lock().unwrap();
         restore_snapshot(&path, &mut types).expect("restore")
     };
-    assert_eq!((restored.engines, restored.patterns, restored.closures), (1, 1, 1));
+    assert_eq!((restored.engines, restored.patterns), (1, 1));
     assert_eq!(restored.created_unix_ms, stats.created_unix_ms);
 
-    // The restored engine must answer the query from the memo (a cache
-    // hit) with the exact pre-restart minimization.
+    // The engine layer restored with its closed set, keyed by the
+    // original constraints...
+    let exported = tpq_core::export_engines();
+    assert_eq!(exported.len(), 1);
+    assert_eq!(exported[0].0, ics);
+    assert_eq!(exported[0].2.constraints(), &ics.closure());
+
+    // ...and its memo must answer the query (a cache hit) with the exact
+    // pre-restart minimization.
     let q = {
         let mut types = global_types().lock().unwrap();
         parse_pattern("SnapRtA*[/SnapRtB][/SnapRtC][//SnapRtD]", &mut types).unwrap()
@@ -87,18 +93,13 @@ fn round_trip_restores_all_three_cache_layers() {
     let types = global_types().lock().unwrap();
     assert_eq!(tpq_pattern::print::to_dsl(&out.pattern, &types), minimized);
     drop(types);
-
-    // The closure layer restored too: export shows the original pair.
-    let closures = tpq_core::export_closures();
-    assert_eq!(closures.len(), 1);
-    assert_eq!(closures[0].0, ics);
-    clear_shared_caches();
+    clear_engine_cache();
 }
 
 #[test]
 fn damaged_snapshots_are_rejected_and_the_server_starts_cold() {
     let _guard = lock();
-    clear_shared_caches();
+    clear_engine_cache();
     warm("SnapDmgA*[/SnapDmgB][/SnapDmgC]", "SnapDmgA -> SnapDmgC");
     let good = temp_path("damaged-good.json");
     {
@@ -114,19 +115,25 @@ fn damaged_snapshots_are_rejected_and_the_server_starts_cold() {
     let corrupt = temp_path("damaged-corrupt.json");
     std::fs::write(&corrupt, text.replacen("SnapDmgB", "SnapDmgX", 1)).unwrap();
     // A future schema version this build does not read.
+    let this_version = format!("\"schema\":{SCHEMA_VERSION}");
     let wrong_version = temp_path("damaged-version.json");
-    std::fs::write(&wrong_version, text.replacen("\"schema\":1", "\"schema\":99", 1)).unwrap();
+    std::fs::write(&wrong_version, text.replacen(&this_version, "\"schema\":99", 1)).unwrap();
+    // A file from the build before this one, which also carried a
+    // closure-LRU section.
+    let v1 = temp_path("damaged-v1.json");
+    std::fs::write(&v1, text.replacen(&this_version, "\"schema\":1", 1)).unwrap();
     // Not JSON at all.
     let garbage = temp_path("damaged-garbage.json");
     std::fs::write(&garbage, "not json at all\n").unwrap();
     let missing = temp_path("damaged-missing.json");
     let _ = std::fs::remove_file(&missing);
 
-    clear_shared_caches();
+    clear_engine_cache();
     for (path, needle) in [
         (&truncated, "JSON"),
         (&corrupt, "checksum"),
         (&wrong_version, "schema version 99"),
+        (&v1, "schema version 1 "),
         (&garbage, "JSON"),
         (&missing, "cannot read"),
     ] {
@@ -141,16 +148,19 @@ fn damaged_snapshots_are_rejected_and_the_server_starts_cold() {
             err.reason
         );
         assert!(
-            tpq_core::export_engines().is_empty() && tpq_core::export_closures().is_empty(),
+            tpq_core::export_engines().is_empty(),
             "a rejected restore must leave the caches untouched"
         );
     }
 
     // The server boots cold — never crashes — on each damaged file, and
     // reports the right outcome; a missing file is a plain cold start.
-    for (path, outcome) in
-        [(&corrupt, "rejected"), (&wrong_version, "rejected"), (&missing, "cold")]
-    {
+    for (path, outcome) in [
+        (&corrupt, "rejected"),
+        (&wrong_version, "rejected"),
+        (&v1, "rejected"),
+        (&missing, "cold"),
+    ] {
         let server = Server::bind(ServeConfig {
             addr: "127.0.0.1:0".into(),
             jobs: 1,
@@ -160,13 +170,13 @@ fn damaged_snapshots_are_rejected_and_the_server_starts_cold() {
         .expect("bind must survive a damaged snapshot");
         assert_eq!(server.handle().restore_status().outcome, outcome, "{}", path.display());
     }
-    clear_shared_caches();
+    clear_engine_cache();
 }
 
 #[test]
 fn snapshot_write_is_atomic_under_a_midwrite_failpoint() {
     let _guard = lock();
-    clear_shared_caches();
+    clear_engine_cache();
     warm("SnapAtomA*[/SnapAtomB][/SnapAtomC]", "SnapAtomA -> SnapAtomC");
     let path = temp_path("atomic.json");
     {
@@ -189,24 +199,24 @@ fn snapshot_write_is_atomic_under_a_midwrite_failpoint() {
     assert!(!path.with_file_name("atomic.json.tmp").exists(), "tmp file cleaned up");
 
     // And the surviving file still restores.
-    clear_shared_caches();
+    clear_engine_cache();
     let mut types = global_types().lock().unwrap();
     restore_snapshot(&path, &mut types).expect("snapshot survived the torn write");
     drop(types);
-    clear_shared_caches();
+    clear_engine_cache();
 }
 
 #[test]
 fn restore_failpoint_rejects_cleanly() {
     let _guard = lock();
-    clear_shared_caches();
+    clear_engine_cache();
     warm("SnapRfA*[/SnapRfB]", "");
     let path = temp_path("read-failpoint.json");
     {
         let types = global_types().lock().unwrap();
         write_snapshot(&path, &types).expect("write");
     }
-    clear_shared_caches();
+    clear_engine_cache();
     let fp = failpoint::arm("snapshot.read", Action::Err, 1);
     let err = {
         let mut types = global_types().lock().unwrap();
@@ -219,5 +229,5 @@ fn restore_failpoint_rejects_cleanly() {
     let mut types = global_types().lock().unwrap();
     restore_snapshot(&path, &mut types).expect("restore after disarm");
     drop(types);
-    clear_shared_caches();
+    clear_engine_cache();
 }

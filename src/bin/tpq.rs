@@ -622,11 +622,8 @@ fn cmd_serve(args: &[String]) -> Result2<()> {
     let restore = server.handle().restore_status().clone();
     match restore.outcome {
         "restored" => println!(
-            "restored snapshot: {} engines, {} patterns, {} closures ({} bytes)",
-            restore.stats.engines,
-            restore.stats.patterns,
-            restore.stats.closures,
-            restore.stats.bytes
+            "restored snapshot: {} engines, {} patterns ({} bytes)",
+            restore.stats.engines, restore.stats.patterns, restore.stats.bytes
         ),
         "rejected" => println!(
             "snapshot rejected ({}), starting cold",
