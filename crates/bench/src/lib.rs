@@ -283,6 +283,28 @@ pub fn measure_micros<T>(iters: usize, mut f: impl FnMut() -> T) -> (Measurement
     (Measurement::from_samples(&samples), last)
 }
 
+/// [`measure_micros`] for two closures whose times are compared: the
+/// runs alternate, one of `f` then one of `g`, so a burst of load on the
+/// host slows samples of both rather than all samples of one.
+pub fn measure_micros_pair<A, B>(
+    iters: usize,
+    mut f: impl FnMut() -> A,
+    mut g: impl FnMut() -> B,
+) -> ((Measurement, A), (Measurement, B)) {
+    assert!(iters >= 1);
+    let (mut a, mut b) = (f(), g()); // warmup
+    let (mut f_samples, mut g_samples) = (Vec::with_capacity(iters), Vec::with_capacity(iters));
+    for _ in 0..iters {
+        let t0 = Instant::now();
+        a = f();
+        f_samples.push(t0.elapsed().as_secs_f64() * 1e6);
+        let t0 = Instant::now();
+        b = g();
+        g_samples.push(t0.elapsed().as_secs_f64() * 1e6);
+    }
+    ((Measurement::from_samples(&f_samples), a), (Measurement::from_samples(&g_samples), b))
+}
+
 /// Median wall time of `f` over `iters` runs (after one warmup), in
 /// microseconds. For an even `iters` the two middle samples are averaged.
 pub fn median_micros<T>(iters: usize, f: impl FnMut() -> T) -> (f64, T) {
@@ -318,6 +340,24 @@ mod tests {
         let (m, _) = measure_micros(6, || std::hint::black_box((0..500u64).sum::<u64>()));
         assert!(m.min <= m.median && m.median <= m.max);
         assert!(m.min >= 0.0);
+    }
+
+    #[test]
+    fn measure_micros_pair_alternates_the_two_closures() {
+        let order = std::cell::RefCell::new(String::new());
+        let ((a, x), (b, y)) = measure_micros_pair(
+            3,
+            || order.borrow_mut().push('f'),
+            || {
+                order.borrow_mut().push('g');
+                7
+            },
+        );
+        assert_eq!(order.into_inner(), "fgfgfgfg", "warmup, then one of each per iteration");
+        assert_eq!((x, y), ((), 7));
+        for m in [a, b] {
+            assert!(m.min <= m.median && m.median <= m.max);
+        }
     }
 
     #[test]

@@ -12,7 +12,9 @@
 //! EXPERIMENTS.md).
 
 use crate::experiments::ExpConfig;
-use crate::{measure_micros, Panel, Point, Series, UNIT_MICROS, UNIT_THROUGHPUT};
+use crate::{
+    measure_micros, measure_micros_pair, Panel, Point, Series, UNIT_MICROS, UNIT_THROUGHPUT,
+};
 use std::io::BufReader;
 use tpq_core::{minimize_with, Strategy};
 use tpq_data::{generate_document, parse_xml_reader, stream_xml_to, DocumentSpec, XmlStreamSpec};
@@ -105,10 +107,11 @@ pub fn minimize_then_match(cfg: &ExpConfig) -> Panel {
             seed: cfg.seed,
             ..DocumentSpec::default()
         });
-        let (raw_m, raw_ans) =
-            measure_micros(cfg.iters, || tpq_match::answer_set_twig(&q.pattern, &doc));
-        let (min_m, min_ans) =
-            measure_micros(cfg.iters, || tpq_match::answer_set_twig(&minimized, &doc));
+        let ((raw_m, raw_ans), (min_m, min_ans)) = measure_micros_pair(
+            cfg.iters,
+            || tpq_match::answer_set_twig(&q.pattern, &doc),
+            || tpq_match::answer_set_twig(&minimized, &doc),
+        );
         // ICs hold vacuously relevant here — minimization must not change
         // the answers on any document the raw/minimized pair agrees on.
         assert_eq!(raw_ans, min_ans, "minimized query changed the answer set at x={x}");

@@ -815,8 +815,11 @@ mod tests {
     #[test]
     fn a_closure_in_flight_does_not_block_other_keys() {
         use std::sync::atomic::{AtomicBool, Ordering};
+        // Long enough that its closure stays in flight for about a third
+        // of a second in a debug build: the window this test observes.
+        const RUNGS: usize = 1200;
         let mut tys = TypeInterner::new();
-        let slow_ics = descendant_chain("Rung", 800, &mut tys);
+        let slow_ics = descendant_chain("Rung", RUNGS, &mut tys);
         let tiny = parse_constraints("Kiwi -> Seed", &mut tys).unwrap();
         let slow_done = Arc::new(AtomicBool::new(false));
         let slow = {
@@ -844,10 +847,10 @@ mod tests {
         let fast = shared_engine(&tiny, Strategy::CdmOnly);
         assert!(
             !slow_done.load(Ordering::SeqCst),
-            "a lookup for another key waited for the 800-edge closure"
+            "a lookup for another key waited for the {RUNGS}-edge closure"
         );
         assert_eq!(fast.constraints(), &tiny.closure());
-        assert_eq!(slow.join().unwrap().constraints().len(), 800 * 801 / 2);
+        assert_eq!(slow.join().unwrap().constraints().len(), RUNGS * (RUNGS + 1) / 2);
     }
 
     #[test]
